@@ -22,6 +22,7 @@ from .periodicity import (
     find_runs,
     lambda_measure,
     periodic_shifts,
+    runs_of_period,
 )
 from .relators import classify_rank, is_alpha_free_modulo, is_tau_free
 from .occurrences import (

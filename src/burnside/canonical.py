@@ -508,7 +508,7 @@ def power_form(
 
     Returns (W, core, K, Z); verified on M, M+1, M+2.
     """
-    from .periodicity import find_runs
+    from .periodicity import runs_of_period
     from .words import cyclic_reduce, primitive_root
 
     params = params or default_params()
@@ -524,9 +524,7 @@ def power_form(
     def split(m: int):
         w = can_word(A * m, r, params)
         best = None
-        for s, l, per in find_runs(w, min_measure=1, max_period=len(root)):
-            if len(per) != len(root):
-                continue
+        for s, l, per in runs_of_period(w, len(root)):
             k = min(per[i:] + per[:i] for i in range(len(per)))
             if k == cls:
                 sign = 1

@@ -118,7 +118,9 @@ def cmd_semican(args) -> int:
 def cmd_can(args) -> int:
     params = _params(args)
     w = parse(args.word)
-    form = can_r(w, args.rank, params) if args.rank else can(w, params)
+    if args.rank is not None and args.rank < 1:
+        raise ValueError(f"rank must be at least 1, got {args.rank}")
+    form = can(w, params) if args.rank is None else can_r(w, args.rank, params)
     payload = {"result": format_word(form.word), "rank": form.rank}
     _emit(args, payload, _fmt(form.word, args))
     return 0
@@ -275,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=["text", "json"], default="text")
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--compress-powers", action="store_true", default=True)
+    ap.add_argument("--compress-powers", action=argparse.BooleanOptionalAction,
+                    default=True)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reduce")

@@ -75,3 +75,7 @@ class StabilizationWatchdog(BurnsideError):
 
 class NotStabilized(BurnsideError):
     pass
+
+
+class SidesNotFree(BurnsideError):
+    """A turn left a smoothing side that is not (3*tau+1)-free."""

@@ -6,7 +6,7 @@ from typing import Sequence
 
 from .config import Params, default_params
 from .errors import OverlappingSpansOrderedWrong, SpanOutOfRange
-from .periodicity import find_runs
+from .periodicity import find_runs, runs_of_period
 from .relators import classify_rank
 from .words import Word, inverse
 
@@ -177,9 +177,7 @@ def corresponding_occurrence(
     cls = occ.cyclic_class()
     spans = [(occ.start, occ.end), (occ.start + dl, occ.end + dl)]
     best = None
-    for s, l, period in find_runs(new_host, min_measure=1, max_period=p):
-        if len(period) != p:
-            continue
+    for s, l, period in runs_of_period(new_host, p):
         if min(period[i:] + period[:i] for i in range(p)) != cls:
             continue
         score = max(min(s + l, hi) - max(s, lo) for lo, hi in spans)

@@ -5,8 +5,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     BadRegime,
     CommutingPeriods,
@@ -16,8 +14,6 @@ from .errors import (
     SpanOutOfRange,
 )
 from .words import Word, inverse, is_primitive, primitive_root
-
-_NUMPY_CUTOFF = 64
 
 
 @dataclass(frozen=True)
@@ -87,53 +83,108 @@ def periodic_shifts(X: Sequence[int], K: int, span: tuple[int, int]) -> list[int
     return [o for o in range(lo, total - length + 1, len(X))]
 
 
+def _common_prefix(w: Word, i: int, j: int, cap: int) -> int:
+    """Largest k <= cap with w[i:i+k] == w[j:j+k], by galloping slices."""
+    k, size = 0, 1
+    while size <= cap - k and w[i + k:i + k + size] == w[j + k:j + k + size]:
+        k += size
+        size += size
+    rest = min(size - 1, cap - k)
+    while rest:
+        half = (rest + 1) // 2
+        if w[i + k:i + k + half] == w[j + k:j + k + half]:
+            k += half
+            rest -= half
+        else:
+            rest = half - 1
+    return k
+
+
+def _common_suffix(w: Word, i: int, j: int, cap: int) -> int:
+    """Largest k <= cap with w[i-k:i] == w[j-k:j], by galloping slices."""
+    k, size = 0, 1
+    while size <= cap - k and w[i - k - size:i - k] == w[j - k - size:j - k]:
+        k += size
+        size += size
+    rest = min(size - 1, cap - k)
+    while rest:
+        half = (rest + 1) // 2
+        if w[i - k - half:i - k] == w[j - k - half:j - k]:
+            k += half
+            rest -= half
+        else:
+            rest = half - 1
+    return k
+
+
+def _scan_period(w: Word, p: int, need: int) -> list[tuple[int, int, Word]]:
+    """Maximal period-p segments whose match block has >= need positions.
+
+    The match block of a segment is the maximal [s, e) with w[i] == w[i+p]
+    for s <= i < e; the segment is w[s:e+p].  Any need consecutive
+    positions hold a multiple of step = max(1, need), so probing only those
+    anchors finds every block that is long enough.
+    """
+    step = max(1, need)
+    lim = len(w) - p
+    out = []
+    i = 0
+    while i < lim:
+        if w[i] != w[i + p]:
+            i += step
+            continue
+        # the anchor step back mismatched or lay before the last block's end
+        s = i - _common_suffix(w, i, i + p, min(i, step - 1))
+        e = i + 1 + _common_prefix(w, i + 1, i + 1 + p, lim - i - 1)
+        if e - s >= need:
+            period = w[s:s + p]
+            if p == 1 or is_primitive(period):
+                out.append((s, e - s + p, period))
+        i = -(-(e + 1) // step) * step
+    return out
+
+
+def runs_of_period(w: Sequence[int], p: int) -> list[tuple[int, int, Word]]:
+    """The period-p entries of find_runs(w, 1), left to right.
+
+    Every maximal segment of w with period p that is longer than p, as
+    (start, length, aligned period), skipping segments whose aligned period
+    is not primitive.
+    """
+    return _scan_period(tuple(w), p, 0)
+
+
 def find_runs(
-    w: Sequence[int],
-    min_measure: Fraction | int = 1,
-    max_period: int | None = None,
+    w: Sequence[int], min_measure: Fraction | int = 1
 ) -> list[tuple[int, int, Word]]:
     """Maximal periodic segments (start, length, aligned primitive period).
 
-    A segment counts as a run only when it is longer than its period, so
-    trivial measure-1 occurrences (every factor is one) are never listed.
-    Non-primitive aligned periods are skipped: the same segment is reported
-    at the primitive period length.
+    For every period length p, a segment is a maximal w[s:e+p] with
+    w[i] == w[i+p] on [s, e).  It is listed when its measure length/p is at
+    least min_measure, compared exactly as length*den >= num*p.  A segment
+    is always longer than its period, so trivial measure-1 occurrences
+    (every factor is one) are never listed.  Non-primitive aligned periods
+    are skipped: the same segment is reported at the primitive period
+    length.  The output is sorted by (start, -length), ties by period length.
+
+    Below measure 2 one segment can carry several periods, and each is
+    listed: aabaa gives (0, 5, aab) and (0, 5, aaba), and aba gives
+    (0, 3, ab).  From measure 2 on, Fine and Wilf leave one period per
+    segment.
+
+    Cost: a listed segment has a match block of at least
+    need = ceil((num - den) * p / den) positions, so only every
+    max(1, need)-th position is probed, and each probe that matches is
+    extended both ways by galloping slice compares.  For min_measure
+    m >= 2 that is O(L log L / (m - 1)) probes over all periods; up to
+    measure 1 every position of every period is probed, O(L^2).
     """
     w = tuple(w)
     L = len(w)
+    num, den = min_measure.numerator, min_measure.denominator
+    pm = L - 1 if num <= den else min(L - 1, L * den // num)
     out: list[tuple[int, int, Word]] = []
-    if L < 2:
-        return out
-    pm = L - 1 if max_period is None else min(max_period, L - 1)
-    if min_measure > 1:
-        pm = min(pm, int(Fraction(L) / Fraction(min_measure)))
-    arr = np.asarray(w, dtype=np.int32) if L >= _NUMPY_CUTOFF else None
     for p in range(1, pm + 1):
-        if arr is not None:
-            m = arr[p:] == arr[:-p]
-            if not m.any():
-                continue
-            padded = np.concatenate(([False], m, [False]))
-            edges = np.flatnonzero(padded[1:] != padded[:-1])
-            blocks = zip(edges[::2], edges[1::2])
-        else:
-            blocks = []
-            i = 0
-            while i < L - p:
-                if w[i] == w[i + p]:
-                    j = i
-                    while j < L - p and w[j] == w[j + p]:
-                        j += 1
-                    blocks.append((i, j))
-                    i = j
-                i += 1
-        for i, j in blocks:
-            length = int(j) - int(i) + p
-            if Fraction(length, p) < min_measure:
-                continue
-            period = w[int(i): int(i) + p]
-            if p > 1 and not is_primitive(period):
-                continue
-            out.append((int(i), length, period))
+        out.extend(_scan_period(w, p, -((den - num) * p // den)))
     out.sort(key=lambda t: (t[0], -t[1]))
     return out

@@ -30,8 +30,7 @@ def contained_tau_periods(x: Word, tau: int) -> list[Word]:
         return []
     doubled = x + x
     seen: dict[Word, Word] = {}
-    for start, length, period in find_runs(doubled, min_measure=tau,
-                                           max_period=len(x) // tau):
+    for start, length, period in find_runs(doubled, min_measure=tau):
         if tau * len(period) > len(x):
             continue
         key = _cyclic_key(period)

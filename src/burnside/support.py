@@ -1,22 +1,12 @@
 """Control sequence, cube-free word streams, and brute-force oracles."""
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterator, Sequence
 
 from .config import Params, default_params
+from .periodicity import find_runs
 from .words import Word, inverse, reduce_word
-
-
-@dataclass
-class OracleReport:
-    checked: int = 0
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def control_m(i: int) -> int:
@@ -29,33 +19,11 @@ def control_m(i: int) -> int:
 def has_overlap_factor(seq: Sequence[int]) -> bool:
     """True if seq contains a factor B B b with b a nonempty prefix of B.
 
-    A BBb factor with |B| = p is a period-p match run of length >= p + 1,
-    so one pass per period keeps the scan at O(L^2).
+    A BBb factor with |B| = p is a period-p segment of length >= 2p + 1,
+    and a non-primitive period is reported at its root, so this is a
+    measure-2 run longer than twice its period.
     """
-    L = len(seq)
-    if L >= 256:
-        import numpy as np
-
-        s = np.asarray(seq)
-        for p in range(1, (L - 1) // 2 + 1):
-            eq = s[p:] == s[:-p]
-            breaks = np.flatnonzero(~eq)
-            prev = -1
-            for b in list(breaks) + [len(eq)]:
-                if b - prev - 1 >= p + 1:
-                    return True
-                prev = b
-        return False
-    for p in range(1, (L - 1) // 2 + 1):
-        run = 0
-        for j in range(L - p):
-            if seq[j] == seq[j + p]:
-                run += 1
-                if run >= p + 1:
-                    return True
-            else:
-                run = 0
-    return False
+    return any(l > 2 * len(per) for _, l, per in find_runs(seq, 2))
 
 
 def _has_cube_suffix(w: list[int]) -> bool:

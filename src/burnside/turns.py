@@ -5,7 +5,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .config import Params, default_params
-from .errors import NoInverse, NotMaximal, NotStable, RankMismatch, SpanOutOfRange
+from .errors import (
+    NoInverse,
+    NotMaximal,
+    NotStable,
+    RankMismatch,
+    SidesNotFree,
+    SpanOutOfRange,
+)
 from .occurrences import (
     CLOSE_NEIGHBOURS,
     Occurrence,
@@ -14,7 +21,9 @@ from .occurrences import (
     corresponding_occurrence,
     maximal_occurrences,
 )
-from .periodicity import find_runs
+# find_runs stays bound here: perfbench's tracer test checks that its wrapper
+# reaches every module namespace that names it.
+from .periodicity import find_runs, runs_of_period  # noqa: F401
 from .relators import is_tau_free
 from .words import EMPTY, Word, inverse, is_reduced, reduce_word
 
@@ -125,8 +134,8 @@ def turn(
         r1 = len(B) - l1
     mid_lo, mid_hi = l1, len(B) - r1
     best = None
-    for rs, rl, rper in find_runs(B, min_measure=1, max_period=vp):
-        if len(rper) != vp or _cyc_class(rper) != v_cls:
+    for rs, rl, rper in runs_of_period(B, vp):
+        if _cyc_class(rper) != v_cls:
             continue
         ov = min(rs + rl, mid_hi) - max(rs, mid_lo)
         if ov > 0 and (best is None or ov > best[0]):
@@ -176,7 +185,7 @@ def _assert_sides_free(D3: Word, E3: Word, r: int, params: Params) -> None:
     bound = 3 * params.tau + 1
     for side in (D3, E3):
         if not is_tau_free(side, r, bound, params):
-            raise AssertionError(
+            raise SidesNotFree(
                 "smoothing side is not (3*tau+1)-free of the turn rank"
             )
 

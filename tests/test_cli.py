@@ -17,6 +17,20 @@ def test_can_example(capsys):
     assert out.strip() == "a^-286"
 
 
+def test_can_rejects_rank_below_one(capsys):
+    for rank in ("0", "-1"):
+        code, out, err = run(capsys, "can", "a^900", "--rank", rank)
+        assert code == 1
+        assert out == "" and "rank" in err
+
+
+def test_compress_powers_can_be_turned_off(capsys):
+    code, out, _ = run(capsys, "--no-compress-powers", "can", "a^900")
+    assert code == 0 and out.strip() == "A" * 286
+    code, out, _ = run(capsys, "--compress-powers", "can", "a^900")
+    assert code == 0 and out.strip() == "a^-286"
+
+
 def test_rank_example(capsys):
     code, out, _ = run(capsys, "rank", "ab")
     assert code == 0

@@ -1,9 +1,11 @@
 """Fractional powers, common power prefixes, runs, periodic shifts."""
 
-import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnside.errors import (
     BadRegime,
@@ -18,8 +20,13 @@ from burnside.periodicity import (
     find_runs,
     lambda_measure,
     periodic_shifts,
+    runs_of_period,
 )
+from burnside.support import has_overlap_factor
 from burnside.words import EMPTY, parse
+
+MEASURES = [0, 1, Fraction(3, 2), Fraction(5, 3), 2, Fraction(5, 2), 16,
+            Fraction(429, 2)]
 
 
 def test_lambda_measure_examples():
@@ -91,28 +98,77 @@ def test_find_runs_no_trivial_measure_one():
     assert runs == []
 
 
-def test_find_runs_numpy_matches_pure():
-    # the implementation switches strategy at 64 letters; compare both
-    rng = random.Random(7)
-    for _ in range(20):
-        w = tuple(rng.choice([1, -1, 2, -2, 3]) for _ in range(100))
-        long_runs = find_runs(w, min_measure=Fraction(3, 2))
-        short_runs = [
-            r
-            for i in range(0, 60, 20)
-            for r in find_runs(w[i:i + 40], min_measure=Fraction(3, 2))
-        ]
-        # every run found in a window appears (shifted) in the full scan
-        for s, l, p in find_runs(w[:40], min_measure=Fraction(3, 2)):
-            assert any(
-                rs <= s and rs + rl >= s + l and rp == w[rs:rs + len(rp)]
-                for rs, rl, rp in long_runs
-                if rl >= l
-            )
-
-
 def test_find_runs_sorted_and_maximal():
     w = parse("a^20ba^30")
     runs = find_runs(w, min_measure=5)
     assert runs == sorted(runs, key=lambda r: (r[0], -r[1]))
     assert (0, 20, (1,)) in runs and (21, 30, (1,)) in runs
+
+
+def _oracle_blocks(w):
+    """Every maximal w[i] == w[i+p] block with a primitive aligned period.
+
+    (start, length, period) per block, periods in increasing length and
+    blocks left to right, straight from the definition.
+    """
+    L = len(w)
+    out = []
+    for p in range(1, L):
+        i = 0
+        while i < L - p:
+            j = i
+            while j < L - p and w[j] == w[j + p]:
+                j += 1
+            if j > i:
+                period = w[i:i + p]
+                if all(period != period[:d] * (p // d)
+                       for d in range(1, p) if p % d == 0):
+                    out.append((i, j - i + p, period))
+            i = j + 1
+    return out
+
+
+def _oracle_runs(blocks, min_measure):
+    kept = [b for b in blocks if Fraction(b[1], len(b[2])) >= min_measure]
+    return sorted(kept, key=lambda b: (b[0], -b[1]))
+
+
+def _assert_matches_oracle(w):
+    blocks = _oracle_blocks(w)
+    for m in MEASURES:
+        assert find_runs(w, m) == _oracle_runs(blocks, m), (w, m)
+    for p in (1, 2, 3, 7):
+        assert runs_of_period(w, p) == [b for b in blocks if len(b[2]) == p], (w, p)
+
+
+def test_find_runs_matches_oracle_exhaustive():
+    for L in range(8):
+        for w in product((1, -1, 2, -2), repeat=L):
+            _assert_matches_oracle(w)
+
+
+@st.composite
+def near_periodic_words(draw):
+    letters = st.sampled_from((1, -1, 2, -2))
+    base = draw(st.lists(letters, min_size=1, max_size=12))
+    w = (base * draw(st.integers(1, 300)))[:draw(st.integers(1, 300))]
+    for i in draw(st.lists(st.integers(0, len(w) - 1), max_size=4)):
+        w[i] = draw(st.sampled_from((1, -1, 2, -2, 3)))
+    return tuple(w)
+
+
+@given(near_periodic_words())
+@settings(max_examples=60, deadline=None)
+def test_find_runs_matches_oracle_near_periodic(w):
+    _assert_matches_oracle(w)
+
+
+def test_has_overlap_factor_matches_definition():
+    for L in range(13):
+        for w in product((1, 2), repeat=L):
+            overlap = any(
+                all(w[k] == w[k + p] for k in range(i, i + p + 1))
+                for p in range(1, L)
+                for i in range(L - 2 * p)
+            )
+            assert has_overlap_factor(w) == overlap, w

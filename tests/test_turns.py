@@ -6,7 +6,8 @@ from itertools import permutations
 import pytest
 
 from burnside.config import default_params
-from burnside.errors import NoInverse, NotStable, RankMismatch
+from burnside import turns
+from burnside.errors import NoInverse, NotStable, RankMismatch, SidesNotFree
 from burnside.occurrences import maximal_occurrences, Occurrence
 from burnside.turns import (
     TYPE1,
@@ -100,6 +101,16 @@ def test_type2_turn_and_inverse():
     assert Fraction(len(tr.remainder), 3) >= P.tau + 1
     back = inverse_turn(tr, 2, P)
     assert back.result == host
+
+
+def test_type2_turn_reports_sides_not_free(monkeypatch):
+    host = parse("bA^295") + power(parse("baa"), 300) + parse("Bb")
+    occ = next(
+        o for o in maximal_occurrences(host, 2, 16, P) if len(o.period) == 3
+    )
+    monkeypatch.setattr(turns, "is_tau_free", lambda *args: False)
+    with pytest.raises(SidesNotFree):
+        turn(host, occ, 2, P)
 
 
 def test_potential_examples():
