@@ -2,11 +2,12 @@
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import chain, groupby, product
+from operator import eq
 from typing import Sequence
 
 from .config import Params, default_params
-from .errors import NotStabilized, StabilizationWatchdog
+from .errors import InvariantViolation, NotStabilized, StabilizationWatchdog
 from .occurrences import (
     Occurrence,
     corresponding_occurrence,
@@ -16,7 +17,15 @@ from .occurrences import (
 from .semican import _descend
 from .support import control_m
 from .turns import turn
-from .words import EMPTY, Word, deglex_key, inverse, reduce_word
+from .words import (
+    EMPTY,
+    Word,
+    common_prefix,
+    common_suffix,
+    deglex_key,
+    inverse,
+    reduce_word,
+)
 
 KEEP, TURN = "Keep", "Turn"
 CERT, UNCERT, TRIVIAL = "Certification", "UnCertification", "Trivial"
@@ -53,12 +62,45 @@ def _balanced(e: int, n: int) -> int:
     return e
 
 
-def can1_word(A: Sequence[int], params: Params) -> Word:
-    """Rank-1 canonical form: balanced letter-power exponents, one pass."""
+def can1_word(A: Word, params: Params) -> Word:
+    """Rank-1 canonical form of a reduced word: balanced letter-power exponents.
+
+    Only a letter run longer than n//2 changes.  In a reduced word a maximal
+    g-run borders neither g nor g^-1, so its balanced power is spliced in
+    place, and a word without such runs is returned as it is.  A run of
+    n*k letters vanishes and lets its neighbours merge; then one stack pass
+    over the letter groups settles the merges.
+    """
     n = params.n
+    half = n // 2
+    same = bytes(map(eq, A, A[1:]))
+    long_run = b"\x01" * half
+    i = same.find(long_run)
+    if i < 0:
+        return A
+    pieces = []
+    done = 0
+    while i >= 0:
+        j = same.find(0, i + half)
+        j = len(A) if j < 0 else j + 1
+        g = A[i]
+        e = _balanced(j - i, n)
+        if not e:
+            return _merge_groups(A, n)
+        pieces.append(A[done:i])
+        pieces.append((g,) * e if e > 0 else (-g,) * -e)
+        done = j
+        i = same.find(long_run, j)
+    pieces.append(A[done:])
+    return tuple(chain.from_iterable(pieces))
+
+
+def _merge_groups(A: Word, n: int) -> Word:
+    """Balance every letter group, merging groups a vanished one brings
+    together; the result is reduced."""
     stack: list[list[int]] = []  # [generator, exponent], exponent balanced != 0
-    for g, grp in groupby(reduce_word(A)):
-        e = sum(1 for _ in grp)
+    for g, grp in groupby(A):
+        e = len(list(grp))
         if g < 0:
             g, e = -g, -e
         while True:
@@ -81,13 +123,21 @@ _can_memo: dict[tuple, Word] = {}
 def can_word(A: Sequence[int], r: int, params: Params | None = None) -> Word:
     """The canonical word of rank r (cascades through lower ranks)."""
     params = params or default_params()
-    A = reduce_word(A)
+    A = tuple(A)
     if r <= 0:
-        return A
+        return reduce_word(A)
+    # memo keys are reduced words, so a hit needs no reduction scan
     key = (A, r, params.n, params.m, params.tau)
     hit = _can_memo.get(key)
     if hit is not None:
         return hit
+    B = reduce_word(A)
+    if B is not A:
+        A = B
+        key = (A, r, params.n, params.m, params.tau)
+        hit = _can_memo.get(key)
+        if hit is not None:
+            return hit
     if r == 1:
         w = can1_word(A, params)
     else:
@@ -342,7 +392,7 @@ def _place_positions(content: Word, period: Word, n: int) -> list[int]:
 
 def _best_position(positions: list[int], length: int, lo: int, hi: int, N: int) -> int:
     if not positions:
-        raise AssertionError("complement does not fit the relator circle")
+        raise InvariantViolation("complement does not fit the relator circle")
 
     def overlap(x: int) -> int:
         return max(
@@ -447,7 +497,8 @@ def winner_side(
     if best_u[0] > best_v[0]:
         return WinnerDecision(TURN, "LengthCompare")
     U, V = _deglex_tuples(best_u[1], best_u[3], best_u[2], params)
-    assert U != V, "tie-break tuples coincide"
+    if U == V:
+        raise InvariantViolation("tie-break tuples coincide")
     return WinnerDecision(KEEP if U < V else TURN, "DeglexTuples", (U, V))
 
 
@@ -491,12 +542,8 @@ def mult_r(
     params = params or default_params()
     A, B = tuple(A), tuple(B)
     w = can_word(A + B, r, params)
-    i = 0
-    while i < min(len(w), len(A)) and w[i] == A[i]:
-        i += 1
-    j = 0
-    while j < min(len(w) - i, len(B)) and w[-1 - j] == B[-1 - j]:
-        j += 1
+    i = common_prefix(w, 0, A, 0, min(len(w), len(A)))
+    j = common_suffix(w, len(w), B, len(B), min(len(w) - i, len(B)))
     triangle = (w[:i], w[i:len(w) - j], w[len(w) - j:])
     return CanonicalForm(w, r, provenance=(triangle,))
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .canonical import can, can_r, can_word, certify, mult_r
 from .config import LAB, STRICT, make_params
-from .errors import BurnsideError
+from .errors import BurnsideError, InvariantViolation
 from .occurrences import maximal_occurrences
 from .periodicity import common_power_prefix, periodic_shifts
 from .relators import classify_rank, rank_witness
@@ -345,6 +345,9 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
+    except InvariantViolation as e:
+        print(f"invariant violated: {e}", file=sys.stderr)
+        return 2
     except (BurnsideError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -8,7 +8,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadRegime, EvenExponent, ExponentTooSmall, TooFewGenerators
+from .errors import (
+    BadRegime,
+    EvenExponent,
+    ExponentTooSmall,
+    InvariantViolation,
+    TooFewGenerators,
+)
 
 STRICT = "strict"
 LAB = "lab"
@@ -94,10 +100,12 @@ def make_params(n: int, m: int = 2, mode: str = STRICT, tau: int | None = None) 
         window_lo=window_lo,
         window_hi=window_hi,
     )
-    if mode == STRICT:
-        assert p.window_hi <= p.lambda2 <= p.lambda1 <= n - (11 * tau + 5)
-        assert p.mu >= Fraction(n, 2) + 9 * tau
-        assert p.window_lo < p.window_hi
+    if mode == STRICT and not (
+        p.window_hi <= p.lambda2 <= p.lambda1 <= n - (11 * tau + 5)
+        and p.mu >= Fraction(n, 2) + 9 * tau
+        and p.window_lo < p.window_hi
+    ):
+        raise InvariantViolation(f"strict thresholds out of order for n={n}")
     return p
 
 

@@ -79,3 +79,7 @@ class NotStabilized(BurnsideError):
 
 class SidesNotFree(BurnsideError):
     """A turn left a smoothing side that is not (3*tau+1)-free."""
+
+
+class InvariantViolation(BurnsideError):
+    """A property the theory guarantees failed to hold: a bug, not bad input."""

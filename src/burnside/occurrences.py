@@ -8,7 +8,7 @@ from .config import Params, default_params
 from .errors import OverlappingSpansOrderedWrong, SpanOutOfRange
 from .periodicity import find_runs, runs_of_period
 from .relators import classify_rank
-from .words import Word, inverse
+from .words import Word, common_prefix, common_suffix, inverse
 
 ISOLATED = "Isolated"
 STRONGLY_ISOLATED = "StronglyIsolated"
@@ -135,22 +135,6 @@ def classify_isolation(
     return CLOSE_NEIGHBOURS
 
 
-def _lcp_len(a: Word, b: Word) -> int:
-    i = 0
-    m = min(len(a), len(b))
-    while i < m and a[i] == b[i]:
-        i += 1
-    return i
-
-
-def _lcs_len(a: Word, b: Word) -> int:
-    i = 0
-    m = min(len(a), len(b))
-    while i < m and a[-1 - i] == b[-1 - i]:
-        i += 1
-    return i
-
-
 def corresponding_occurrence(
     old_host: Word, new_host: Word, occ: Occurrence,
     params: Params | None = None,
@@ -164,9 +148,10 @@ def corresponding_occurrence(
     """
     params = params or default_params()
     dl = len(new_host) - len(old_host)
-    lcp = _lcp_len(old_host, new_host)
-    lcs = _lcs_len(old_host, new_host)
-    overlap = lcp + lcs - min(len(old_host), len(new_host))
+    shorter = min(len(old_host), len(new_host))
+    lcp = common_prefix(old_host, 0, new_host, 0, shorter)
+    lcs = common_suffix(old_host, len(old_host), new_host, len(new_host), shorter)
+    overlap = lcp + lcs - shorter
     if overlap > 0:
         lcs -= overlap
     if occ.end <= lcp:

@@ -13,7 +13,14 @@ from .errors import (
     PeriodNotPrimitive,
     SpanOutOfRange,
 )
-from .words import Word, inverse, is_primitive, primitive_root
+from .words import (
+    Word,
+    common_prefix,
+    common_suffix,
+    inverse,
+    is_primitive,
+    primitive_root,
+)
 
 
 @dataclass(frozen=True)
@@ -83,40 +90,6 @@ def periodic_shifts(X: Sequence[int], K: int, span: tuple[int, int]) -> list[int
     return [o for o in range(lo, total - length + 1, len(X))]
 
 
-def _common_prefix(w: Word, i: int, j: int, cap: int) -> int:
-    """Largest k <= cap with w[i:i+k] == w[j:j+k], by galloping slices."""
-    k, size = 0, 1
-    while size <= cap - k and w[i + k:i + k + size] == w[j + k:j + k + size]:
-        k += size
-        size += size
-    rest = min(size - 1, cap - k)
-    while rest:
-        half = (rest + 1) // 2
-        if w[i + k:i + k + half] == w[j + k:j + k + half]:
-            k += half
-            rest -= half
-        else:
-            rest = half - 1
-    return k
-
-
-def _common_suffix(w: Word, i: int, j: int, cap: int) -> int:
-    """Largest k <= cap with w[i-k:i] == w[j-k:j], by galloping slices."""
-    k, size = 0, 1
-    while size <= cap - k and w[i - k - size:i - k] == w[j - k - size:j - k]:
-        k += size
-        size += size
-    rest = min(size - 1, cap - k)
-    while rest:
-        half = (rest + 1) // 2
-        if w[i - k - half:i - k] == w[j - k - half:j - k]:
-            k += half
-            rest -= half
-        else:
-            rest = half - 1
-    return k
-
-
 def _scan_period(w: Word, p: int, need: int) -> list[tuple[int, int, Word]]:
     """Maximal period-p segments whose match block has >= need positions.
 
@@ -134,8 +107,8 @@ def _scan_period(w: Word, p: int, need: int) -> list[tuple[int, int, Word]]:
             i += step
             continue
         # the anchor step back mismatched or lay before the last block's end
-        s = i - _common_suffix(w, i, i + p, min(i, step - 1))
-        e = i + 1 + _common_prefix(w, i + 1, i + 1 + p, lim - i - 1)
+        s = i - common_suffix(w, i, w, i + p, min(i, step - 1))
+        e = i + 1 + common_prefix(w, i + 1, w, i + 1 + p, lim - i - 1)
         if e - s >= need:
             period = w[s:s + p]
             if p == 1 or is_primitive(period):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .config import Params, default_params
-from .errors import BadRegime, StabilizationWatchdog
+from .errors import BadRegime, InvariantViolation, StabilizationWatchdog
 from .occurrences import maximal_occurrences
 from .turns import potential_d, turn
 from .words import Word, reduce_word
@@ -46,7 +46,8 @@ def _descend(A: Word, r: int, bound, params: Params,
         tr = turn(w, occ, r, params)
         if check_potential:
             after = potential_d(tr.result, r, params)
-            assert after < before, "greedy turn did not decrease the potential"
+            if not after < before:
+                raise InvariantViolation("greedy turn did not decrease the potential")
         trace.append((occ.start, occ.length, occ.period, tr.type_tag))
         w = tr.result
         steps += 1
@@ -100,7 +101,8 @@ def staged_descent(
         tr = turn(w, occ, r, params)
         w = tr.result
         trace.append((occ.start, occ.length, occ.period, tr.type_tag))
-        assert is_semicanonical(w, r, mu1 + params.epsilon, params)
+        if not is_semicanonical(w, r, mu1 + params.epsilon, params):
+            raise InvariantViolation("a staged turn broke (mu1 + epsilon)-semicanonicity")
         steps += 1
 
 

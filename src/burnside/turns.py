@@ -25,7 +25,7 @@ from .occurrences import (
 # reaches every module namespace that names it.
 from .periodicity import find_runs, runs_of_period  # noqa: F401
 from .relators import is_tau_free
-from .words import EMPTY, Word, inverse, is_reduced, reduce_word
+from .words import EMPTY, Word, common_prefix, common_suffix, inverse, reduce_word
 
 TYPE1, TYPE2, TYPE3 = "Type1", "Type2", "Type3"
 
@@ -67,20 +67,6 @@ def _extend_run(w: Word, s: int, e: int, p: int) -> tuple[int, int]:
     return s, e
 
 
-def _lcp(a: Word, b: Word) -> int:
-    i, m = 0, min(len(a), len(b))
-    while i < m and a[i] == b[i]:
-        i += 1
-    return i
-
-
-def _lcs(a: Word, b: Word) -> int:
-    i, m = 0, min(len(a), len(b))
-    while i < m and a[-1 - i] == b[-1 - i]:
-        i += 1
-    return i
-
-
 def turn(
     A: Sequence[int],
     occ: Occurrence,
@@ -117,7 +103,8 @@ def turn(
     same_sign = shift == -1 or occ.k >= params.n
     v_cls = _cyc_class(occ.period if same_sign else inverse(occ.period))
 
-    if B == raw and is_reduced(raw):
+    # B is reduced, so B == raw also says raw is
+    if B == raw:
         span = (len(L), len(v)) if v else None
         vhat = None
         if v and len(v) > vp:
@@ -128,8 +115,8 @@ def turn(
             (EMPTY, EMPTY, EMPTY), (EMPTY, EMPTY, EMPTY), r, shift,
         )
 
-    l1 = _lcp(B, L)
-    r1 = _lcs(B, R)
+    l1 = common_prefix(B, 0, L, 0, min(len(B), len(L)))
+    r1 = common_suffix(B, len(B), R, len(R), min(len(B), len(R)))
     if l1 + r1 > len(B):
         r1 = len(B) - l1
     mid_lo, mid_hi = l1, len(B) - r1

@@ -6,6 +6,8 @@ words returned are freely reduced.
 """
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, indexOf
 from typing import Iterable, Sequence
 
 from .errors import EmptyWord
@@ -14,11 +16,22 @@ Word = tuple  # tuple[int, ...]
 
 EMPTY: Word = ()
 
+# deepest parenthesis nesting parse accepts
+_MAX_NESTING = 200
+
 
 def reduce_word(raw: Iterable[int]) -> Word:
-    """Freely reduce a letter sequence (cancel adjacent x, x^-1)."""
-    out: list[int] = []
-    for g in raw:
+    """Freely reduce a letter sequence (cancel adjacent x, x^-1).
+
+    A reduced tuple is returned as it is, the same object.
+    """
+    w = raw if type(raw) is tuple else tuple(raw)
+    if is_reduced(w):
+        return w
+    # letters are nonzero, so a zero sum of neighbours is a cancelling pair
+    i = indexOf(map(add, w, w[1:]), 0)
+    out = list(w[:i])
+    for g in w[i:]:
         if out and out[-1] == -g:
             out.pop()
         else:
@@ -28,14 +41,7 @@ def reduce_word(raw: Iterable[int]) -> Word:
 
 def concat(*parts: Sequence[int]) -> Word:
     """Reduced product of several words."""
-    out: list[int] = []
-    for part in parts:
-        for g in part:
-            if out and out[-1] == -g:
-                out.pop()
-            else:
-                out.append(g)
-    return tuple(out)
+    return reduce_word(chain.from_iterable(parts))
 
 
 def inverse(w: Sequence[int]) -> Word:
@@ -43,7 +49,48 @@ def inverse(w: Sequence[int]) -> Word:
 
 
 def is_reduced(w: Sequence[int]) -> bool:
-    return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
+    return 0 not in map(add, w, w[1:])
+
+
+def common_prefix(a: Sequence[int], i: int, b: Sequence[int], j: int, cap: int) -> int:
+    """Largest k <= cap with a[i:i+k] == b[j:j+k], by galloping slices.
+
+    cap must not exceed the letters left in either word:
+    cap <= min(len(a) - i, len(b) - j).
+    """
+    k, size = 0, 1
+    while size <= cap - k and a[i + k:i + k + size] == b[j + k:j + k + size]:
+        k += size
+        size += size
+    rest = min(size - 1, cap - k)
+    while rest:
+        half = (rest + 1) // 2
+        if a[i + k:i + k + half] == b[j + k:j + k + half]:
+            k += half
+            rest -= half
+        else:
+            rest = half - 1
+    return k
+
+
+def common_suffix(a: Sequence[int], i: int, b: Sequence[int], j: int, cap: int) -> int:
+    """Largest k <= cap with a[i-k:i] == b[j-k:j], by galloping slices.
+
+    cap must not exceed the letters before either end: cap <= min(i, j).
+    """
+    k, size = 0, 1
+    while size <= cap - k and a[i - k - size:i - k] == b[j - k - size:j - k]:
+        k += size
+        size += size
+    rest = min(size - 1, cap - k)
+    while rest:
+        half = (rest + 1) // 2
+        if a[i - k - half:i - k] == b[j - k - half:j - k]:
+            k += half
+            rest -= half
+        else:
+            rest = half - 1
+    return k
 
 
 def is_cyclically_reduced(w: Sequence[int]) -> bool:
@@ -93,10 +140,10 @@ def primitive_root(w: Sequence[int]) -> PrimitiveRoot:
     if not w:
         raise EmptyWord("primitive_root of the empty word")
     L = len(w)
-    for p in range(1, L + 1):
+    for p in range(1, L):
         if L % p == 0 and w == w[:p] * (L // p):
             return PrimitiveRoot(w[:p], L // p)
-    raise AssertionError("unreachable")
+    return PrimitiveRoot(w, 1)
 
 
 def is_primitive(w: Sequence[int]) -> bool:
@@ -136,6 +183,10 @@ def parse(text: str) -> Word:
                     raise ValueError(f"unbalanced ')' at {pos}")
                 return out
             if ch == "(":
+                if depth == _MAX_NESTING:
+                    raise ValueError(
+                        f"parentheses nested deeper than {_MAX_NESTING} at {pos}"
+                    )
                 pos += 1
                 grp = seq(depth + 1)
                 if pos >= len(text) or text[pos] != ")":

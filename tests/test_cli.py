@@ -1,7 +1,9 @@
 """Command-line surface: output values, JSON schema, exit codes."""
 
 import json
+from fractions import Fraction
 
+import burnside.semican as semican
 from burnside.cli import main
 
 
@@ -117,3 +119,17 @@ def test_lab_mode_flags(capsys):
         capsys, "--n", "3", "--mode", "lab", "--tau", "1", "can", "a^2", "--rank", "1"
     )
     assert code == 0 and out.strip() == "A"
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    word = "(" * 3000 + "a" + ")" * 3000
+    code, out, err = run(capsys, "can", word)
+    assert code == 1
+    assert out == "" and "nested" in err
+
+
+def test_invariant_violation_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(semican, "potential_d", lambda *args: Fraction(0))
+    code, out, err = run(capsys, "semican", "a^1200", "--rank", "1")
+    assert code == 2
+    assert out == "" and "potential" in err

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import burnside.semican as semican
 from burnside.config import default_params
-from burnside.errors import BadRegime
+from burnside.errors import BadRegime, InvariantViolation
 from burnside.semican import (
     greedy_semicanonicalize,
     is_semicanonical,
@@ -21,6 +22,13 @@ def test_greedy_chain():
     form = greedy_semicanonicalize(parse("a^1200"), 1, P)
     assert form.word == parse("a^14")
     assert len(form.trace) == 2  # 1200 -> 607 -> 14
+
+
+def test_greedy_potential_check_raises_typed_error(monkeypatch):
+    # a potential that never decreases breaks the termination invariant
+    monkeypatch.setattr(semican, "potential_d", lambda *args: Fraction(0))
+    with pytest.raises(InvariantViolation, match="potential"):
+        greedy_semicanonicalize(parse("a^1200"), 1, P)
 
 
 def test_greedy_identity_below_mu():

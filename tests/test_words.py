@@ -86,6 +86,12 @@ def test_parse_and_format():
     assert format_word(parse("ab"), compress_powers=False) == "ab"
 
 
+def test_parse_nesting_bound():
+    assert parse("(" * 200 + "a" + ")" * 200) == (1,)
+    with pytest.raises(ValueError, match="nested deeper than 200"):
+        parse("(" * 201 + "a" + ")" * 201)
+
+
 def test_parse_format_round_trip():
     for text in ("a", "ab", "a^17Ba^-4", "BAba"):
         w = parse(text)
